@@ -45,7 +45,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 #: measured runs per invocation, at the least
-MIN_RUNS = 3
+MIN_RUNS = 5
 #: set-up samples behind the reported median
 SETUP_SAMPLES = 5
 #: the whole invocation must end well inside three minutes
