@@ -4,7 +4,6 @@
 caches, the metrics registry and resident memory start clean each
 time.  Modes:
 
-* ``setup``     -- time the cold start only;
 * ``reference`` -- the untimed reference sweep: same seed, interpreted
   simulation (``compile_sim=False``), rows written to ``--out``;
 * ``timed``     -- set-up, then the workload with the latency probe;
@@ -100,7 +99,7 @@ def main(argv=None) -> int:
                         required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--mode", required=True,
-                        choices=("setup", "reference", "timed", "traced"))
+                        choices=("reference", "timed", "traced"))
     parser.add_argument("--tmp", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--ref", help="reference rows of a sweep workload")
@@ -112,8 +111,6 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     subject, plan = _setup(args)
     out = {"setup_s": time.perf_counter() - started}
-    if args.mode == "setup":
-        return _write(args.out, out)
     if args.mode == "reference":
         result = subject.run_plan(plan)
         return _write(args.out, {"rows": workloads.sweep_rows(result)})

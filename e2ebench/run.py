@@ -44,10 +44,8 @@ import workloads
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
-#: measured runs per invocation, at the least
+#: measured runs per invocation, at the least; each also times set-up
 MIN_RUNS = 5
-#: set-up samples behind the reported median
-SETUP_SAMPLES = 5
 #: the whole invocation must end well inside three minutes
 DEADLINE_S = 170.0
 #: candidate tail percentiles, in thousandths of a percent
@@ -149,8 +147,6 @@ def tail(samples: list[float]) -> tuple[float, float]:
 def end_to_end(runner: Runner, ref: str | None) -> tuple[dict, list[dict]]:
     runs = [r[0] for r in runner.repeat(("timed",), MIN_RUNS, ref)]
     setups = [run["setup_s"] for run in runs]
-    while len(setups) < SETUP_SAMPLES:
-        setups.append(runner.child("setup")["setup_s"])
     latencies = [[s * 1000 for s in run["latencies"]] for run in runs]
     tails = [tail(samples) for samples in latencies]
     values = {
