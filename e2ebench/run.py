@@ -10,7 +10,8 @@ Every measured run is a fresh interpreter (``child.py``) with its own
 temporary directory, removed afterwards.  Runs repeat until
 ``--seconds`` is spent, and at least ``MIN_RUNS`` times.
 
-``--trace 0`` reports the end-to-end metrics (medians over the runs).
+``--trace 0`` reports the end-to-end metrics (medians over the runs;
+``eval_p50_ms`` is the median of all their samples together).
 ``--trace 1`` alternates an untraced and a traced run and reports the
 per-layer split of the traced run with the median wall time, whose
 layer self times plus ``trace.residual_frac`` add up to its wall time.
@@ -26,6 +27,7 @@ command exit 1 after printing its result.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import hashlib
 import json
@@ -101,11 +103,16 @@ class Runner:
         try:
             _, stderr = proc.communicate(
                 timeout=max(1.0, self.deadline - time.monotonic()))
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
+        except BaseException as exc:
+            # past the deadline, or this process was interrupted or
+            # terminated: the run's whole group goes too
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-            raise BenchError(f"{mode} run passed the {DEADLINE_S:.0f} s "
-                             "deadline") from None
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise BenchError(f"{mode} run passed the {DEADLINE_S:.0f} s "
+                                 "deadline") from None
+            raise
         finally:
             shutil.rmtree(run_tmp, ignore_errors=True)
         if proc.returncode != 0:
@@ -154,16 +161,19 @@ def end_to_end(runner: Runner, ref: str | None) -> tuple[dict, list[dict]]:
         "cpu_s": statistics.median(run["cpu_s"] for run in runs),
         "setup_s": statistics.median(setups),
         "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in runs),
+        # the median over every run's samples, not the median of the
+        # runs' medians: the host's speed state shifts whole runs, and a
+        # median of five runs jumps to whichever state three of them met
         "eval_p50_ms": statistics.median(
-            statistics.median(samples) for samples in latencies),
+            sample for samples in latencies for sample in samples),
         "eval_tail_ms": statistics.median(value for _, value in tails),
     }
     walls = " ".join(f"{run['wall_s']:.3f}" for run in runs)
     print(f"{len(runs)} measured runs, {len(setups)} set-ups; "
           f"wall_s per run: {walls}")
-    print(f"eval latencies: medians over runs of each run's p50 and "
-          f"p{tails[0][0]:g}, over {len(latencies[0])} cache-missing "
-          f"evaluations per run")
+    print(f"eval latencies: p50 of all {sum(map(len, latencies))} "
+          f"cache-missing evaluations, median over runs of each run's "
+          f"p{tails[0][0]:g} over {len(latencies[0])}")
     return {name: (values[name], unit) for name, unit in END_TO_END}, runs
 
 
@@ -226,6 +236,8 @@ def main(argv=None) -> int:
     parser.add_argument("--plant-mismatch", action="store_true",
                         help="corrupt one expected output (self-test)")
     args = parser.parse_args(argv)
+    # SIGTERM unwinds like an interrupt, so no run outlives the command
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     if not os.path.isfile(os.path.join(ROOT, "src", "repro", "__init__.py")):
         print(f"error: no program under {os.path.join(ROOT, 'src')}",
               file=sys.stderr)
