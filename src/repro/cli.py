@@ -44,9 +44,10 @@ Commands:
   sweep is merged; ``--aio`` holds several leases in flight on an
   asyncio executor and streams each unit's records to the coordinator
   as jobs finish;
-* ``store {pack,compact,unpack,info} DIR`` — compact a verdict store's
-  one-file-per-verdict directory into a single JSONL pack (and back);
-  ``compact`` rewrites the pack without shadowed duplicate lines;
+* ``store {pack,compact,unpack,info} DIR`` — fold a verdict store's
+  per-verdict files (from older versions or ``unpack``) into its JSONL
+  log (and back); ``compact`` rewrites the log without shadowed
+  duplicate lines;
 * ``tables [--backend B] [--workers W]`` — run the full sweep and print
   Tables III/IV + headlines + executor stats;
 * ``stats TRACE ... [--json]`` — summarize trace files written by
@@ -1261,9 +1262,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="manage an on-disk verdict store (pack/compact/unpack/info)",
     )
     p.add_argument("action", choices=("pack", "compact", "unpack", "info"),
-                   help="pack: fold verdict files into one JSONL; compact: "
-                        "rewrite the pack without shadowed duplicate lines; "
-                        "unpack: restore files; info: entry counts")
+                   help="pack: fold verdict files into the JSONL log; "
+                        "compact: rewrite the log without shadowed "
+                        "duplicate lines; unpack: write the log out as "
+                        "files; info: entry counts")
     p.add_argument("dir", help="verdict store directory (from --store)")
 
     p = sub.add_parser("tables", help="run the full sweep; print Tables III/IV")

@@ -77,10 +77,13 @@ class Evaluator:
 
     ``store`` is an optional :class:`~repro.eval.store.VerdictStore`
     consulted between the in-memory cache and a real compile+simulate:
-    a hit there costs one small file read instead of a simulation, and
-    every fresh verdict is written back, so evaluators in other
-    processes (process-pool workers, coordinator workers, later runs)
-    share the work.
+    a hit there costs one log-line read instead of a simulation, and
+    every fresh verdict is appended to the store's log, so evaluators
+    in other processes (process-pool workers, coordinator workers,
+    later runs) share the work.  Store reads and writes are timed as
+    the ``store`` stage.  On a shared mount without atomic append, a
+    concurrent line may be lost or garbled; that costs a
+    re-evaluation, never a wrong verdict.
     """
 
     def __init__(
@@ -136,7 +139,10 @@ class Evaluator:
                 REGISTRY.inc("evaluator_cache", result="hit")
                 return cached
         if self.store is not None:
+            started = time.perf_counter()
             stored = self.store.get(*key)
+            observe_stage("store", time.perf_counter() - started,
+                          problem=problem.number)
             if stored is not None:
                 with self._lock:
                     self.store_hits += 1
@@ -150,7 +156,10 @@ class Evaluator:
         with self._lock:
             self._cache[key] = result
         if self.store is not None:
+            started = time.perf_counter()
             self.store.put(*key, result)
+            observe_stage("store", time.perf_counter() - started,
+                          problem=problem.number)
         return result
 
     def _evaluate_uncached(

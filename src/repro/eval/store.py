@@ -5,51 +5,61 @@ duplicate completions within one process, but every process-pool worker
 (and every machine in a coordinated fleet) used to rebuild it from
 scratch — the ROADMAP's "cross-process evaluator cache" opening.
 :class:`VerdictStore` closes it: verdicts persist to a directory keyed
-by ``(problem number, completion hash)``, one small JSON file per entry,
-so any evaluator pointed at the same path — a later run, a sibling
-worker process, a pull-based coordinator worker — skips the compile and
-simulation entirely.
+by ``(problem number, completion hash)``, so any evaluator pointed at
+the same path — a later run, a sibling worker process, a pull-based
+coordinator worker — skips the compile and simulation entirely.
 
 Both stores share one engine, :class:`KeyedJsonStore` — a
-directory-backed ``key -> JSON payload`` map with atomic file writes, a
-JSONL pack format, and compaction:
+directory-backed ``key -> JSON payload`` map kept as one append-only
+JSONL log (``pack.jsonl``, one ``{"key", <payload field>}`` object per
+line, later lines win):
 
-* :class:`VerdictStore` — ``p<problem>_<hash>.json`` files holding
-  full :class:`~repro.eval.report.CompletionEvaluation` codecs;
-* :class:`CompileSimCache` — ``s_<source-hash>.json`` files in a
+* :class:`VerdictStore` — ``p<problem>_<hash>`` keys holding full
+  :class:`~repro.eval.report.CompletionEvaluation` codecs;
+* :class:`CompileSimCache` — ``s_<source-hash>`` keys in a
   ``simcache/`` subdirectory holding the netlist→closure compiler's
   plan summary (:meth:`repro.verilog.codegen.CompiledEngine.plan`)
   keyed by bench-source hash, so repeat evaluations of a seen source
   skip the two-state proof and reuse recorded compile decisions.
 
+Concurrency model: a put appends one complete line with a single
+``os.write`` on an ``O_APPEND`` descriptor — no temp file, no rename,
+no lock between processes.  Each store instance keeps a per-process
+index from key to the byte offset of that key's latest complete line.
+A hit reads and decodes just that line.  A miss first indexes the
+lines appended since the instance last looked; only newline-terminated
+lines count, so a line still being written is left for the next look.
+A log whose ``(st_dev, st_ino)`` changed, or that shrank, is indexed
+again from the start: that is how readers pick up another process's
+:meth:`~KeyedJsonStore.compact`.  Corrupt lines, and lines that no
+longer carry the key they were indexed under, read as misses.  Two
+processes racing on the same uncached key may both evaluate and both
+append; evaluation is pure, so the duplicate work is bounded and both
+lines carry the same payload.
+
+Shared mounts: local filesystems append each line whole.  On a shared
+mount without atomic append (NFS, for one), a concurrent line may be
+lost or garbled.  A lost or garbled line costs a re-evaluation, never a
+wrong verdict.
+
+Older versions stored one ``<key>.json`` file per entry, and
+:meth:`KeyedJsonStore.unpack` still writes the log out that way.  Such
+entry files are still read, and win over log lines;
+:meth:`KeyedJsonStore.pack` folds them into the log (append, then
+delete the file).  Re-evaluated or re-packed keys leave shadowed
+duplicate lines behind; :meth:`KeyedJsonStore.compact` rewrites the log
+with one line per live key (temp file + atomic replace, idempotent).
+``compact`` or ``unpack`` run during a live sweep may drop lines
+appended while they run, which again costs only re-evaluations; do not
+run them while another process is packing the same store.  The CLI
+drives all three — ``python -m repro store {pack,compact,unpack} DIR``
+— and applies pack/compact/clear to the verdict store and its attached
+simcache together, so eviction shares one maintenance path.
+
 The two stores are invisible to each other: entry filenames must match
 the store's key pattern, so the simcache subdirectory and any foreign
 ``.json`` files are never counted, packed, or deleted by the verdict
 store (and vice versa).
-
-Concurrency model: writes go through a per-process temp file renamed
-into place (``os.replace`` is atomic on POSIX and Windows), so readers
-never observe a half-written entry.  Two processes racing on the same
-uncached key may both evaluate and both write; evaluation is pure, so
-the duplicate work is bounded and the last rename wins with an
-identical payload.  Corrupt or foreign files read as misses.
-
-One file per entry is simple but inode-hungry: a million-completion
-sweep leaves a million tiny files behind.  :meth:`KeyedJsonStore.pack`
-compacts the directory into one append-friendly JSONL file
-(``pack.jsonl``, one ``{"key", <payload field>}`` object per line,
-later lines win) that the store reads through transparently — fresh
-entries still land as individual files (atomic, contention-free) and
-shadow the pack, so packing is safe on a live store; run it again any
-time to fold the new files in.  Because packing only appends, repeated
-cycles leave shadowed duplicate lines behind —
-:meth:`KeyedJsonStore.compact` rewrites the pack with one line per live
-key (atomic replace, idempotent; safe against readers and file
-writers, but do not run it while another process is packing the same
-store).  :meth:`KeyedJsonStore.unpack` reverses packing.  The CLI
-drives all three — ``python -m repro store {pack,compact,unpack} DIR``
-— and applies pack/compact/clear to the verdict store and its attached
-simcache together, so eviction shares one maintenance path.
 
 The stores are picklable (they carry only their path), so
 :class:`~repro.service.process.ProcessPoolSweepExecutor` ships them to
@@ -61,6 +71,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 
 from .export import evaluation_from_dict, evaluation_to_dict
 
@@ -75,11 +86,31 @@ _SIM_ENTRY_RE = re.compile(r"^s_[0-9a-f]{16,}\.json$")
 #: subdirectory of a verdict store holding its compiled-sim plan cache
 SIM_CACHE_DIRNAME = "simcache"
 
+#: flags of the descriptor a put appends its line through
+_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+
+#: bytes per log read (widened for a longer line)
+_READ_CHUNK = 1 << 13
+
+
+def _parse_line(line: bytes, field: str) -> "tuple[str, dict] | None":
+    """``(key, payload row)`` of one well-formed log line, else ``None``."""
+    try:
+        row = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(row, dict):
+        return None
+    key, payload = row.get("key"), row.get(field)
+    if isinstance(key, str) and isinstance(payload, dict):
+        return key, payload
+    return None
+
 
 class KeyedJsonStore:
-    """Directory-backed ``key -> JSON payload`` map with pack support.
+    """Directory-backed ``key -> JSON payload`` map over an append-only log.
 
-    Subclasses pin down the key shape (:data:`ENTRY_RE`), the pack-line
+    Subclasses pin down the key shape (:data:`ENTRY_RE`), the log-line
     payload field name (:data:`PAYLOAD_FIELD`) and, optionally, a
     payload codec (:meth:`_encode_payload` / :meth:`_decode_payload`
     both default to identity on plain JSON objects).
@@ -87,22 +118,29 @@ class KeyedJsonStore:
 
     #: filenames that belong to this store (everything else is foreign)
     ENTRY_RE: "re.Pattern[str]" = re.compile(r"^[A-Za-z0-9_]+\.json$")
-    #: pack-line field carrying the payload (kept per-store for
+    #: log-line field carrying the payload (kept per-store for
     #: backward compatibility with packs written before the refactor)
     PAYLOAD_FIELD = "payload"
 
     def __init__(self, path: str):
-        self.path = str(path)
-        os.makedirs(self.path, exist_ok=True)
-        # packed-index cache: (stat signature, {key -> payload row})
-        self._packed: "tuple[tuple[int, int], dict[str, dict]] | None" = None
+        os.makedirs(str(path), exist_ok=True)
+        self.__setstate__({"path": str(path)})
 
     def __getstate__(self) -> dict:
-        return {"path": self.path}  # the index cache never crosses pickles
+        return {"path": self.path}  # the log index never crosses pickles
 
     def __setstate__(self, state: dict) -> None:
         self.path = state["path"]
-        self._packed = None
+        #: the store's log (named for the pack format it shares)
+        self.pack_path = os.path.join(self.path, PACK_FILENAME)
+        # guards the log index: one instance may serve a thread pool
+        self._lock = threading.Lock()
+        self._log_fd: "int | None" = None
+        self._forget_log()
+
+    def __del__(self) -> None:
+        if getattr(self, "_log_fd", None) is not None:
+            self._forget_log()  # the log descriptor lives as long as we do
 
     # ------------------------------------------------------------------
     # Payload codec (identity by default; rows must be JSON objects)
@@ -119,58 +157,110 @@ class KeyedJsonStore:
     def _path_for(self, key: str) -> str:
         return os.path.join(self.path, f"{key}.json")
 
-    @property
-    def pack_path(self) -> str:
-        return os.path.join(self.path, PACK_FILENAME)
+    def _encode_line(self, key: str, row: dict) -> bytes:
+        return (
+            json.dumps({"key": key, self.PAYLOAD_FIELD: row}) + "\n"
+        ).encode()
 
     # ------------------------------------------------------------------
-    # Packed index (read-through; invalidated when the file changes)
+    # Log index (per process; callers hold self._lock)
     # ------------------------------------------------------------------
-    def _packed_index(self) -> dict[str, dict]:
-        """The pack file as key -> payload row ({} when absent).
+    def _forget_log(self) -> None:
+        if self._log_fd is not None:
+            os.close(self._log_fd)
+        self._log_fd = None
+        self._log_id: "tuple[int, int] | None" = None
+        #: bytes of the log indexed so far (always at a line boundary)
+        self._log_end = 0
+        #: non-blank complete lines indexed so far
+        self._log_lines = 0
+        #: key -> byte offset of its latest well-formed line
+        self._offsets: dict[str, int] = {}
 
-        Cached per stat signature (mtime_ns, size), so a pack rewritten
-        by another process — or by :meth:`pack` in this one — is picked
-        up on the next read; corrupt lines read as misses.
+    def _sync_log(self) -> None:
+        """Index the complete lines appended since the last look.
+
+        Starts over when the log was replaced (another process's
+        compact or clear) or shrank; an unreadable log reads as empty.
         """
         try:
             stat = os.stat(self.pack_path)
-            signature = (stat.st_mtime_ns, stat.st_size)
+            if (self._log_fd is None
+                    or self._log_id != (stat.st_dev, stat.st_ino)
+                    or stat.st_size < self._log_end):
+                self._forget_log()
+                self._log_fd = os.open(self.pack_path, os.O_RDONLY)
+                opened = os.fstat(self._log_fd)
+                self._log_id = (opened.st_dev, opened.st_ino)
+            self._index_new_lines()
         except OSError:
-            self._packed = None
-            return {}
-        if self._packed is not None and self._packed[0] == signature:
-            return self._packed[1]
-        index: dict[str, dict] = {}
+            self._forget_log()
+
+    def _index_new_lines(self) -> None:
+        want = _READ_CHUNK
+        while True:
+            data = os.pread(self._log_fd, want, self._log_end)
+            cut = data.rfind(b"\n") + 1
+            if not cut:
+                if len(data) < want:
+                    return  # nothing new, or a line still being written
+                want *= 2  # one line longer than the read: widen it
+                continue
+            start = 0
+            while start < cut:
+                end = data.index(b"\n", start)
+                line = data[start:end]
+                if line.strip():
+                    self._log_lines += 1
+                    parsed = _parse_line(line, self.PAYLOAD_FIELD)
+                    if parsed is not None:
+                        self._offsets[parsed[0]] = self._log_end + start
+                start = end + 1
+            self._log_end += cut
+            if len(data) < want:
+                return
+            want = _READ_CHUNK
+
+    def _read_line(self, offset: int) -> bytes:
+        data = b""
+        while True:
+            chunk = os.pread(self._log_fd, _READ_CHUNK, offset + len(data))
+            end = chunk.find(b"\n")
+            if end >= 0:
+                return data + chunk[:end]
+            if not chunk:
+                return data
+            data += chunk
+
+    def _log_row(self, key: str) -> "dict | None":
+        """``key``'s latest payload row in the log, or ``None``."""
+        if key not in self._offsets:
+            self._sync_log()
+            if key not in self._offsets:
+                return None
         try:
-            with open(self.pack_path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        row = json.loads(line)
-                        index[str(row["key"])] = dict(row[self.PAYLOAD_FIELD])
-                    except (ValueError, KeyError, TypeError):
-                        continue  # torn/foreign line: skip, keep reading
+            line = self._read_line(self._offsets[key])
         except OSError:
-            return {}
-        self._packed = (signature, index)
-        return index
+            return None
+        parsed = _parse_line(line, self.PAYLOAD_FIELD)
+        if parsed is None or parsed[0] != key:
+            return None  # the bytes changed under the index
+        return parsed[1]
 
     # ------------------------------------------------------------------
     def get_key(self, key: str):
         """The stored payload, or ``None`` (missing or unreadable).
 
-        Individual files win over the pack: they are strictly newer
-        (everything packed had its file deleted).
+        Entry files, from older versions or from :meth:`unpack`, win
+        over the log; an entry is immutable, so either copy will do.
         """
         try:
             with open(self._path_for(key), encoding="utf-8") as handle:
                 return self._decode_payload(json.load(handle))
         except (OSError, ValueError, KeyError, TypeError):
             pass
-        row = self._packed_index().get(key)
+        with self._lock:
+            row = self._log_row(key)
         if row is None:
             return None
         try:
@@ -179,23 +269,21 @@ class KeyedJsonStore:
             return None
 
     def put_key(self, key: str, payload) -> None:
-        """Persist one payload atomically (temp file + rename)."""
-        target = self._path_for(key)
-        temp = f"{target}.tmp-{os.getpid()}"
+        """Append one payload to the log as one complete line."""
+        line = self._encode_line(key, self._encode_payload(payload))
         try:
-            with open(temp, "w", encoding="utf-8") as handle:
-                json.dump(self._encode_payload(payload), handle)
-            os.replace(temp, target)
-        except OSError:
-            # a read-only or vanished store degrades to a cache miss,
-            # never a failed evaluation
+            fd = os.open(self.pack_path, _APPEND_FLAGS, 0o644)
             try:
-                os.unlink(temp)
-            except OSError:
-                pass
+                os.write(fd, line)
+            finally:
+                os.close(fd)
+        except OSError:
+            # a read-only, full or vanished store degrades to a cache
+            # miss, never a failed evaluation
+            pass
 
     # ------------------------------------------------------------------
-    # Packing (inode hygiene for million-completion sweeps)
+    # Maintenance: legacy entry files, compaction
     # ------------------------------------------------------------------
     def _entry_files(self) -> list[str]:
         """Store-shaped entry filenames only: foreign ``.json`` files in
@@ -210,18 +298,23 @@ class KeyedJsonStore:
         except OSError:
             return []
 
-    def pack(self) -> int:
-        """Fold every individual entry file into the pack; return count.
+    def _log_keys(self) -> set[str]:
+        with self._lock:
+            self._sync_log()
+            return set(self._offsets)
 
-        Appends to an existing pack (later lines win on read, and an
-        entry is immutable anyway), then deletes the folded files —
-        crash-safe in that order: a death between append and unlink
-        leaves both copies, which agree.  Only files that carry the
-        store's key naming *and* decode as payloads are folded; torn or
-        foreign files are left exactly where they are.
+    def pack(self) -> int:
+        """Fold every entry file into the log; return how many.
+
+        Appends each entry as a log line (later lines win on read), then
+        deletes its file — crash-safe in that order: a death between
+        append and unlink leaves both copies, which agree.  Only files
+        that carry the store's key naming *and* decode as payloads are
+        folded; torn or foreign files are left exactly where they are.
         """
         packed = 0
-        with open(self.pack_path, "a", encoding="utf-8") as handle:
+        fd = os.open(self.pack_path, _APPEND_FLAGS, 0o644)
+        try:
             for name in self._entry_files():
                 entry = os.path.join(self.path, name)
                 try:
@@ -230,84 +323,73 @@ class KeyedJsonStore:
                     self._decode_payload(row)  # must decode as a payload
                 except (OSError, ValueError, KeyError, TypeError):
                     continue  # torn or foreign: leave the file alone
-                handle.write(
-                    json.dumps(
-                        {"key": name[: -len(".json")],
-                         self.PAYLOAD_FIELD: row}
-                    )
-                    + "\n"
-                )
-                handle.flush()
+                os.write(fd, self._encode_line(name[: -len(".json")], row))
                 try:
                     os.unlink(entry)
                 except OSError:
                     pass
                 packed += 1
-        self._packed = None
+        finally:
+            os.close(fd)
+        with self._lock:
+            self._sync_log()  # folded lines now shadow indexed ones
         return packed
 
     def compact(self) -> int:
-        """Rewrite the pack without dead lines; return how many died.
+        """Rewrite the log without dead lines; return how many died.
 
-        :meth:`pack` only ever appends (later lines win on read), so a
-        key re-packed across cycles leaves its shadowed older lines in
-        the file forever — harmless for correctness, but the pack grows
-        without bound under repeated pack cycles.  Compaction rewrites
-        the pack with exactly one line per live key (torn/foreign lines
-        are dropped too — the reader already ignores them) through a
-        temp file + atomic replace, so a crash mid-compact leaves the
-        previous pack intact.  Idempotent: a second run removes 0.
-
-        Unlike :meth:`pack`, compaction is a maintenance operation: it
-        is safe against concurrent *readers and file writers* (they
-        never touch the pack), but must not race another process's
-        ``pack()`` on the same store — lines pack appends after the
-        compaction snapshot is read would be discarded by the replace,
-        and pack has already unlinked their source files.  Run compact
-        when nothing is packing.
+        Appends never overwrite, so a key written twice leaves its
+        shadowed older line in the log — harmless for correctness, but
+        the log grows with every re-evaluation and pack cycle.
+        Compaction rewrites it with exactly one line per live key
+        (torn/foreign lines are dropped too — the reader already
+        ignores them) through a temp file + atomic replace, so a crash
+        mid-compact leaves the previous log intact.  Idempotent: a
+        second run removes 0.  Lines other processes append while it
+        runs may be lost to the replace (see the module doc).
         """
-        index = self._packed_index()
-        total_lines = 0
-        try:
-            with open(self.pack_path, encoding="utf-8") as handle:
-                total_lines = sum(1 for line in handle if line.strip())
-        except OSError:
-            return 0  # no pack: nothing to compact
-        removed = total_lines - len(index)
-        if removed <= 0:
-            return 0
-        temp = f"{self.pack_path}.tmp-{os.getpid()}"
-        try:
-            with open(temp, "w", encoding="utf-8") as handle:
-                for key, row in index.items():
-                    handle.write(
-                        json.dumps({"key": key, self.PAYLOAD_FIELD: row})
-                        + "\n"
-                    )
-            os.replace(temp, self.pack_path)
-        except OSError:
+        with self._lock:
+            self._sync_log()
+            if self._log_fd is None:
+                return 0  # no log: nothing to compact
+            torn_tail = os.fstat(self._log_fd).st_size > self._log_end
+            removed = self._log_lines + torn_tail - len(self._offsets)
+            if removed <= 0:
+                return 0
+            temp = f"{self.pack_path}.tmp-{os.getpid()}"
             try:
-                os.unlink(temp)
+                with open(temp, "wb") as handle:
+                    for offset in self._offsets.values():
+                        handle.write(self._read_line(offset) + b"\n")
+                os.replace(temp, self.pack_path)
             except OSError:
-                pass
-            raise
-        self._packed = None
+                try:
+                    os.unlink(temp)
+                except OSError:
+                    pass
+                raise
+            self._forget_log()
         return removed
 
     def unpack(self) -> int:
-        """Materialize packed entries back into files; return count.
+        """Write the log out as entry files again; return how many.
 
-        Existing files win (they are newer); the pack is removed only
-        once every entry has a file again — a partial restore (disk
-        full, permissions) keeps the pack, so no entry is ever lost to
-        an interrupted unpack.
+        Existing files win (they are read first anyway); the log is
+        removed only once every entry has a file again — a partial
+        restore (disk full, permissions) keeps the log, so no entry is
+        ever lost to an interrupted unpack.
         """
-        index = self._packed_index()
+        with self._lock:
+            self._sync_log()
+            rows = {key: self._log_row(key) for key in list(self._offsets)}
         restored = 0
         failed = 0
-        for key, row in index.items():
-            target = os.path.join(self.path, f"{key}.json")
+        for key, row in rows.items():
+            target = self._path_for(key)
             if os.path.exists(target):
+                continue
+            if row is None:
+                failed += 1
                 continue
             temp = f"{target}.tmp-{os.getpid()}"
             try:
@@ -326,14 +408,15 @@ class KeyedJsonStore:
                 os.unlink(self.pack_path)
             except OSError:
                 pass
-        self._packed = None
+            with self._lock:
+                self._forget_log()
         return restored
 
     # ------------------------------------------------------------------
     def keys(self) -> set[str]:
-        """Every distinct entry key (files and pack combined)."""
+        """Every distinct entry key (files and log combined)."""
         file_keys = {name[: -len(".json")] for name in self._entry_files()}
-        return file_keys | set(self._packed_index())
+        return file_keys | self._log_keys()
 
     def __len__(self) -> int:
         return len(self.keys())
@@ -341,7 +424,7 @@ class KeyedJsonStore:
     def stats(self) -> dict:
         """Entry counts by storage form (the CLI ``store info`` view)."""
         files = len(self._entry_files())
-        packed = len(self._packed_index())
+        packed = len(self._log_keys())
         return {
             "entries": len(self),
             "files": files,
@@ -353,15 +436,15 @@ class KeyedJsonStore:
         """Delete every stored entry; returns how many were removed.
 
         The count reflects what actually disappeared: a key that
-        survives — its file would not unlink, or it lives in a pack
-        that would not unlink — is not counted as removed.
+        survives — its file would not unlink, or it lives in a log that
+        would not unlink — is not counted as removed.
         """
         file_keys = {name[: -len(".json")] for name in self._entry_files()}
-        packed_keys = set(self._packed_index())
+        packed_keys = self._log_keys()
         surviving: set[str] = set()
         for key in file_keys:
             try:
-                os.unlink(os.path.join(self.path, f"{key}.json"))
+                os.unlink(self._path_for(key))
             except OSError:
                 surviving.add(key)
         try:
@@ -369,8 +452,9 @@ class KeyedJsonStore:
         except FileNotFoundError:
             pass
         except OSError:
-            surviving |= packed_keys  # the pack (and its keys) remain
-        self._packed = None
+            surviving |= packed_keys  # the log (and its keys) remain
+        with self._lock:
+            self._forget_log()
         return len(file_keys | packed_keys) - len(surviving)
 
     def __repr__(self) -> str:
@@ -381,7 +465,7 @@ class CompileSimCache(KeyedJsonStore):
     """On-disk ``source hash -> compiled-sim plan`` cache.
 
     Lives in a ``simcache/`` subdirectory next to a
-    :class:`VerdictStore`'s verdict files.  A plan is the JSON summary
+    :class:`VerdictStore`'s verdict log.  A plan is the JSON summary
     from :meth:`repro.verilog.codegen.CompiledEngine.plan`; a hit lets
     the evaluator rebuild the engine without re-running the two-state
     proof and counts into ``sim_compile_cache_hits_total``.
@@ -406,6 +490,10 @@ class VerdictStore(KeyedJsonStore):
 
     ENTRY_RE = _ENTRY_RE
     PAYLOAD_FIELD = "verdict"
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        self._sim_cache: "CompileSimCache | None" = None
 
     @staticmethod
     def _encode_payload(payload) -> dict:
@@ -450,10 +538,12 @@ class VerdictStore(KeyedJsonStore):
         """
         if not create and not os.path.isdir(self.sim_cache_path):
             return None
-        try:
-            return CompileSimCache(self.sim_cache_path)
-        except OSError:
-            return None
+        if self._sim_cache is None:
+            try:
+                self._sim_cache = CompileSimCache(self.sim_cache_path)
+            except OSError:
+                return None
+        return self._sim_cache
 
 
 def resolve_store(store: "VerdictStore | str | None") -> "VerdictStore | None":

@@ -5,7 +5,8 @@ Reads one or more ``--trace`` NDJSON files (see
 them line by line, and aggregates:
 
 * per-stage time split — ``generate`` vs ``parse``/``elaborate``/
-  ``sim``/``testbench`` (the signal for the sim-compile roadmap item);
+  ``sim``/``testbench``/``store`` (the signal for the sim-compile
+  roadmap item);
 * job latency — exact nearest-rank p50/p95/p99 over ``job`` spans;
 * per-worker throughput — jobs per second of per-worker wall clock
   (monotonic span timestamps are only compared within one file, so
@@ -25,15 +26,14 @@ import math
 import os
 from typing import Sequence
 
+# the time-split table's rows: every stage name the stage timers emit
+from . import STAGES as STAGE_NAMES
+
 #: frame types a trace file may contain
 FRAME_TYPES = ("meta", "span", "metrics", "profile")
 
 #: file suffixes treated as trace files when a directory is given
 TRACE_SUFFIXES = (".trace", ".ndjson")
-
-#: span names counted as leaf stages in the time-split table
-STAGE_NAMES = ("generate", "parse", "elaborate", "analysis", "sim",
-               "testbench")
 
 
 class TraceFormatError(ValueError):

@@ -12,6 +12,7 @@ profiler attribution).
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -285,15 +286,22 @@ class TestCompileSimCache:
 
     def test_pack_and_compact_shared_path(self, tmp_path):
         cache = CompileSimCache(str(tmp_path / "simcache"))
+
+        def legacy_put(source_hash, plan):
+            # the per-entry file older versions left behind
+            path = cache._path_for(cache._key(source_hash))
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(plan, handle)
+
         for index in range(4):
-            cache.put(index, {"version": 1, "two_state": False,
-                              "processes": index, "compiled": 0,
-                              "fallbacks": []})
+            legacy_put(index, {"version": 1, "two_state": False,
+                               "processes": index, "compiled": 0,
+                               "fallbacks": []})
         assert cache.pack() == 4
         assert cache.stats()["files"] == 0
         assert cache.stats()["packed"] == 4
-        cache.put(0, {"version": 1, "two_state": True, "processes": 0,
-                      "compiled": 0, "fallbacks": []})
+        legacy_put(0, {"version": 1, "two_state": True, "processes": 0,
+                       "compiled": 0, "fallbacks": []})
         assert cache.pack() == 1
         assert cache.compact() == 1  # the shadowed line dies
         assert cache.get(0)["two_state"] is True

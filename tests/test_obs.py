@@ -290,6 +290,26 @@ class TestStageTimers:
         ]
         assert job_rows and job_rows[0]["count"] == 2  # one job per problem
 
+    def test_store_backed_sweep_times_the_store(self, capsys, tmp_path):
+        trace = tmp_path / "sweep.trace"
+        assert main([
+            "sweep", "--backend", "stub-canonical", "--problems", "1",
+            "--temperatures", "0.1", "--n", "2", "--levels", "L",
+            "--store", str(tmp_path / "verdicts"), "--trace", str(trace),
+        ]) == 0
+        store_rows = [
+            row for row in REGISTRY.snapshot()["histograms"]
+            if row["name"] == "stage_seconds"
+            and row["labels"]["stage"] == "store"
+        ]
+        # at least one store get (a miss) and the put that follows it
+        assert sum(row["count"] for row in store_rows) >= 2
+        capsys.readouterr()
+        assert main(["stats", str(trace)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        store_row = next(row for row in rows if row and row[0] == "store")
+        assert int(store_row[1]) >= 2
+
     def test_observe_stage_spans_only_when_tracing(self):
         seen = []
         observe_stage("parse", 0.01, problem=1)

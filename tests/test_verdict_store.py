@@ -1,6 +1,7 @@
 """Tests for the cross-process verdict store (repro.eval.store) and its
 Evaluator / executor / Session integration."""
 
+import json
 import pickle
 
 import pytest
@@ -16,6 +17,7 @@ from repro.eval import (
     VerdictStore,
     resolve_store,
 )
+from repro.eval.export import evaluation_to_dict
 from repro.models.base import stable_hash
 from repro.problems import PromptLevel, get_problem
 from repro.service import ProcessPoolSweepExecutor
@@ -26,6 +28,13 @@ SMALL = SweepConfig(
     levels=(PromptLevel.LOW,),
     problem_numbers=(1, 2),
 )
+
+
+def legacy_put(store, problem, completion_hash, verdict):
+    """Write one verdict as the per-entry file older versions left."""
+    path = store._entry_path(problem, completion_hash)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(evaluation_to_dict(verdict), handle)
 
 
 class CountingEvaluator(Evaluator):
@@ -57,7 +66,6 @@ class TestVerdictStore:
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         store = VerdictStore(str(tmp_path))
-        store.put(1, 7, CompletionEvaluation(compiled=True, passed=True))
         with open(store._entry_path(1, 7), "w", encoding="utf-8") as handle:
             handle.write("{not json")
         assert store.get(1, 7) is None
@@ -202,13 +210,13 @@ class TestPackedFormat:
     append-friendly JSONL the store reads through (inode hygiene)."""
 
     @staticmethod
-    def _seed(store, count=6, problem=1):
+    def _seed(store, count=6, problem=1, put=VerdictStore.put):
         verdicts = {}
         for index in range(count):
             verdict = CompletionEvaluation(
                 compiled=True, passed=bool(index % 2)
             )
-            store.put(problem, index, verdict)
+            put(store, problem, index, verdict)
             verdicts[index] = verdict
         return verdicts
 
@@ -216,7 +224,7 @@ class TestPackedFormat:
         import os
 
         store = VerdictStore(str(tmp_path / "verdicts"))
-        verdicts = self._seed(store)
+        verdicts = self._seed(store, put=legacy_put)
         packed = store.pack()
         assert packed == 6
         names = os.listdir(store.path)
@@ -228,10 +236,10 @@ class TestPackedFormat:
 
     def test_fresh_writes_shadow_the_pack(self, tmp_path):
         store = VerdictStore(str(tmp_path / "verdicts"))
-        self._seed(store, count=3)
+        self._seed(store, count=3, put=legacy_put)
         store.pack()
         newer = CompletionEvaluation(compiled=False, passed=False)
-        store.put(1, 0, newer)  # individual file again: strictly newer
+        legacy_put(store, 1, 0, newer)  # individual file again: newer
         assert store.get(1, 0) == newer
         assert len(store) == 3  # same key, counted once
         assert store.pack() == 1  # folds the fresh file back in
@@ -291,9 +299,9 @@ class TestPackedFormat:
 
     def test_stats_counts_both_forms(self, tmp_path):
         store = VerdictStore(str(tmp_path / "verdicts"))
-        self._seed(store, count=3)
+        self._seed(store, count=3, put=legacy_put)
         store.pack()
-        self._seed(store, count=1, problem=5)
+        self._seed(store, count=1, problem=5, put=legacy_put)
         stats = store.stats()
         assert stats == {
             "entries": 4,
@@ -320,7 +328,7 @@ class TestPackedFormat:
         import os
 
         store = VerdictStore(str(tmp_path / "verdicts"))
-        self._seed(store, count=2)
+        self._seed(store, count=2, put=legacy_put)
         foreign = os.path.join(store.path, "notes.json")
         with open(foreign, "w", encoding="utf-8") as handle:
             json.dump({"todo": "not a verdict"}, handle)
@@ -424,6 +432,223 @@ class TestPackCompaction:
         assert "dropped 0 dead line" in capsys.readouterr().out
 
 
+def _verdict(index):
+    # six keys in seven carry 1.5-9 KB lines, some spanning two pages
+    return CompletionEvaluation(
+        compiled=bool(index % 3), passed=False,
+        compile_errors=(f"error {index} " + "x" * (index % 7) * 1500,),
+        error_line=index,
+    )
+
+
+def _put_range(path, start, count, go):
+    store = VerdictStore(path)
+    go.wait()
+    for index in range(start, start + count):
+        store.put(1, index, _verdict(index))
+
+
+class TestAppendLog:
+    """Puts append one line each to ``pack.jsonl``; readers index byte
+    offsets and only ever trust complete, well-formed, matching lines."""
+
+    @staticmethod
+    def _line(store, problem, completion_hash, verdict):
+        return store._encode_line(
+            store._key(problem, completion_hash),
+            evaluation_to_dict(verdict),
+        )
+
+    def test_puts_append_lines_not_files(self, tmp_path):
+        import os
+
+        store = VerdictStore(str(tmp_path))
+        for index in range(3):
+            store.put(1, index, _verdict(index))
+        assert os.listdir(store.path) == ["pack.jsonl"]
+        with open(store.pack_path, encoding="utf-8") as handle:
+            assert len(handle.readlines()) == 3
+
+    def test_concurrent_writers_lose_no_line(self, tmp_path):
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        path = str(tmp_path / "verdicts")
+        go = context.Event()
+        writers = [
+            context.Process(target=_put_range, args=(path, start, 500, go))
+            for start in (0, 500)
+        ]
+        for writer in writers:
+            writer.start()
+        go.set()
+        for writer in writers:
+            writer.join(60)
+        hung = [writer for writer in writers if writer.is_alive()]
+        for writer in hung:
+            writer.kill()
+        assert not hung
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        reader = VerdictStore(path)
+        for index in range(1000):
+            assert reader.get(1, index) == _verdict(index)
+        with open(reader.pack_path, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        assert lines.pop() == b""  # the log ends on a complete line
+        assert len(lines) == 1000
+        for line in lines:
+            json.loads(line)
+
+    def test_threads_sharing_one_store_lose_no_key(self, tmp_path):
+        import sys
+        import threading
+
+        store = VerdictStore(str(tmp_path))
+        wrong = []
+
+        def work(start):
+            for index in range(start, start + 150):
+                store.put(1, index, _verdict(index))
+                for probe in (index, index - 75):
+                    got = store.get(1, probe)
+                    if got is not None and got != _verdict(probe):
+                        wrong.append(probe)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(start,))
+                for start in range(0, 600, 150)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        # a lost index update would hide some keys from this instance
+        for index in range(600):
+            assert store.get(1, index) == _verdict(index)
+
+    def test_torn_final_line_is_not_consumed(self, tmp_path):
+        store = VerdictStore(str(tmp_path))
+        first = _verdict(1)
+        store.put(1, 1, first)
+        line = self._line(store, 1, 2, _verdict(2))
+        with open(store.pack_path, "ab") as handle:
+            handle.write(line[:30])  # a writer still mid-line
+        assert store.get(1, 2) is None
+        assert store.get(1, 1) == first
+        with open(store.pack_path, "ab") as handle:
+            handle.write(line[30:])
+        assert store.get(1, 2) == _verdict(2)  # its bytes were re-read
+
+    def test_lines_after_a_torn_line_still_read(self, tmp_path):
+        store = VerdictStore(str(tmp_path))
+        torn = self._line(store, 1, 2, _verdict(2))[:30]
+        with open(store.pack_path, "ab") as handle:
+            handle.write(torn + b"\n")  # a crashed writer's remains
+        store.put(1, 3, _verdict(3))
+        assert store.get(1, 2) is None
+        assert store.get(1, 3) == _verdict(3)
+
+    def test_reader_parses_only_new_lines(self, tmp_path, monkeypatch):
+        import repro.eval.store as store_module
+
+        path = str(tmp_path)
+        writer, reader = VerdictStore(path), VerdictStore(path)
+        writer.put(1, 1, _verdict(1))
+        assert reader.get(1, 1) == _verdict(1)
+        parsed = []
+        real_parse = store_module._parse_line
+
+        def recording_parse(line, field):
+            parsed.append(bytes(line))
+            return real_parse(line, field)
+
+        monkeypatch.setattr(store_module, "_parse_line", recording_parse)
+        writer.put(1, 2, _verdict(2))
+        writer.put(1, 3, _verdict(3))
+        assert reader.get(1, 2) == _verdict(2)
+        old_key = reader._key(1, 1).encode()
+        assert parsed
+        assert not any(old_key in line for line in parsed)
+        parsed.clear()
+        assert reader.get(1, 3) == _verdict(3)  # indexed on the way
+        assert len(parsed) == 1  # only its hit line is decoded
+
+    def test_live_reader_survives_another_compact(self, tmp_path):
+        import os
+
+        path = str(tmp_path)
+        writer, reader, maintainer = (VerdictStore(path) for _ in range(3))
+        for index in range(6):
+            writer.put(1, index, _verdict(index))
+            writer.put(1, index, _verdict(index))  # a duplicate line
+        assert reader.get(1, 0) == _verdict(0)  # indexes the old log
+        old_size = os.path.getsize(writer.pack_path)
+        assert maintainer.compact() == 6
+        for index in range(6):
+            assert reader.get(1, index) == _verdict(index)
+        # the compacted log outgrows the old one: only its new inode
+        # tells the reader to start over
+        for index in range(100, 112):
+            writer.put(1, index, _verdict(index))
+        assert os.path.getsize(writer.pack_path) > old_size
+        for index in range(100, 112):
+            assert reader.get(1, index) == _verdict(index)
+        assert len(reader) == 18
+
+    def test_shrunken_log_is_indexed_again(self, tmp_path):
+        path = str(tmp_path)
+        writer, reader = VerdictStore(path), VerdictStore(path)
+        for index in range(4):
+            writer.put(1, index, _verdict(index))
+        assert reader.get(1, 3) == _verdict(3)
+        open(writer.pack_path, "wb").close()  # truncated in place
+        writer.put(1, 50, _verdict(50))
+        assert reader.get(1, 50) == _verdict(50)
+        assert reader.get(1, 0) is None
+
+    def test_garbled_lines_never_yield_a_verdict(self, tmp_path):
+        store = VerdictStore(str(tmp_path))
+        first, second = _verdict(1), _verdict(2)
+        first_line = self._line(store, 1, 1, first)
+        second_line = self._line(store, 1, 2, second)
+        with open(store.pack_path, "ab") as handle:
+            handle.write(first_line[:25] + second_line)  # torn + glued
+            handle.write(first_line.replace(b'"key"', b'"kee"'))
+            handle.write(
+                first_line.replace(b'"verdict": {', b'"verdict": [{')
+                .replace(b'}}\n', b'}]}\n')
+            )
+            handle.write(b"\xff\xfe" + second_line)
+        assert store.get(1, 1) is None
+        assert store.get(1, 2) is None
+        assert len(store) == 0
+
+    def test_swapped_bytes_never_yield_another_keys_verdict(self, tmp_path):
+        store = VerdictStore(str(tmp_path))
+        # equal-length lines, so a swap keeps every offset on a boundary
+        first = CompletionEvaluation(compiled=True, passed=False,
+                                     error_line=1)
+        second = CompletionEvaluation(compiled=True, passed=False,
+                                      error_line=2)
+        store.put(1, 1, first)
+        store.put(1, 2, second)
+        assert store.get(1, 1) == first and store.get(1, 2) == second
+        first_line = self._line(store, 1, 1, first)
+        second_line = self._line(store, 1, 2, second)
+        assert len(first_line) == len(second_line)
+        with open(store.pack_path, "r+b") as handle:
+            handle.write(second_line + first_line)  # same inode and size
+        assert store.get(1, 1) is None
+        assert store.get(1, 2) is None
+
+
 class TestClearAccounting:
     """Satellite regression: clear() must not count keys that survive a
     failed pack unlink as removed."""
@@ -446,7 +671,9 @@ class TestClearAccounting:
         for key in range(3):
             store.put(1, key, CompletionEvaluation(compiled=True, passed=True))
         store.pack()  # all three keys now live only in the pack
-        store.put(1, 99, CompletionEvaluation(compiled=True, passed=False))
+        legacy_put(
+            store, 1, 99, CompletionEvaluation(compiled=True, passed=False)
+        )
 
         real_unlink = os.unlink
 
