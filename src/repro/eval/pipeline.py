@@ -84,6 +84,17 @@ class Evaluator:
     the ``store`` stage.  On a shared mount without atomic append, a
     concurrent line may be lost or garbled; that costs a
     re-evaluation, never a wrong verdict.
+
+    A cache miss parses the completion once: the bench run reuses the
+    design's parsed modules (``run_simulation(design=...)``), and each
+    problem's test bench is parsed once per process.  Line numbers are
+    those of the ``bench_source`` text all the same.
+
+    Known limitation: the cache key ignores the prompt level, but the
+    prompts of one problem differ in line count (problem 17's L/M/H
+    prompts have 6/10/17 lines).  So a cached ``error_line``, and the
+    line numbers inside ``compile_errors``, come from whichever level
+    evaluated the completion first.
     """
 
     def __init__(
@@ -196,7 +207,6 @@ class Evaluator:
                     stage="analysis", error_line=first.line,
                     findings=findings,
                 )
-        bench = problem.bench_source(truncated, level)
         # None unless profiling is enabled AND a trace sink is installed,
         # in which case the bench simulation attributes its wall time to
         # netlist constructs and publishes one `profile` frame per run.
@@ -205,16 +215,17 @@ class Evaluator:
         if self.compile_sim and self.store is not None:
             sim_cache = self.store.sim_cache()
         if sim_cache is not None:
-            bench_hash = stable_hash(bench)
+            bench_hash = stable_hash(problem.bench_source(truncated, level))
             plan = sim_cache.get(bench_hash)
             if plan is not None:
                 REGISTRY.inc("sim_compile_cache_hits_total")
         bench_report, sim = run_simulation(
-            bench, top="tb", max_time=self.max_time,
+            problem.testbench, top="tb", max_time=self.max_time,
             max_steps=self.max_steps, profiler=profiler,
             compile_sim=self.compile_sim,
             analysis_findings=findings if findings else None,
-            compile_plan=plan,
+            compile_plan=plan, design=report,
+            first_line=problem.testbench_line(source),
         )
         if (sim_cache is not None and plan is None
                 and bench_report.sim_engine is not None):
@@ -274,25 +285,23 @@ class Evaluator:
     def _observe_report(problem: Problem, report, design: bool) -> None:
         """Always-on per-problem stage timers off a CompileReport.
 
-        Design compiles profile as ``parse``/``elaborate``; the bench
-        run's compile side profiles as ``testbench`` (constructing the
-        self-checking harness) and its simulate side as ``sim`` — the
-        four-way split the sim-compile roadmap item needs.
+        Design compiles profile as ``parse``/``elaborate``.  The bench
+        run reuses the design's parse and a per-process parse of the
+        test bench, so its compile side is elaboration only and profiles
+        as ``bench_elab``; building the compiled engine profiles as
+        ``engine`` and simulating as ``sim``.
         """
         number = problem.number
         if design:
-            if report.parse_seconds:
-                observe_stage("parse", report.parse_seconds, problem=number)
-            if report.elaborate_seconds:
-                observe_stage(
-                    "elaborate", report.elaborate_seconds, problem=number
-                )
+            stages = (("parse", report.parse_seconds),
+                      ("elaborate", report.elaborate_seconds))
         else:
-            bench_compile = report.parse_seconds + report.elaborate_seconds
-            if bench_compile:
-                observe_stage("testbench", bench_compile, problem=number)
-            if report.sim_seconds:
-                observe_stage("sim", report.sim_seconds, problem=number)
+            stages = (("bench_elab", report.elaborate_seconds),
+                      ("engine", report.engine_seconds),
+                      ("sim", report.sim_seconds))
+        for stage, seconds in stages:
+            if seconds:
+                observe_stage(stage, seconds, problem=number)
 
     @property
     def cache_info(self) -> dict:

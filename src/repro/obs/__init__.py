@@ -27,16 +27,16 @@ p99 gates).  Three pieces, all stdlib-only:
   the self-contained ``GET /dashboard`` HTML page, both polling
   ``/metrics`` + ``/shard/status``.
 
-Stage timers (parse/elaborate/sim/testbench/store per problem) are
-always on and feed the registry; spans cost nothing unless a sink is
-installed (:func:`tracing_active` is a single list check on the hot
-path), and the simulator profiler is off unless both enabled and
-traced.
+Stage timers (parse/elaborate/analysis/bench_elab/engine/sim/store per
+problem) are always on and feed the registry; spans cost nothing unless
+a sink is installed (:func:`tracing_active` is a single list check on
+the hot path), and the simulator profiler is off unless both enabled
+and traced.
 """
 
 # defined before the submodule imports: obs.stats reads it at import
-STAGES = ("generate", "parse", "elaborate", "analysis", "sim", "testbench",
-          "store")
+STAGES = ("generate", "parse", "elaborate", "analysis", "bench_elab",
+          "engine", "sim", "store")
 """Leaf stage names the per-stage timers emit (see ``stage_seconds``)."""
 
 from .collect import (

@@ -2,7 +2,7 @@
 
 The ROADMAP's sim-compile item needs to know *which* netlist constructs
 burn the ~95% of evaluation time the stage timers attribute to
-``sim``/``testbench``.  This module is the answer: a
+``sim``.  This module is the answer: a
 :class:`SimProfiler` is handed to :class:`repro.verilog.sim.Simulator`
 (via ``run_simulation(..., profiler=...)``) and receives one ``add``
 per process activation — wall seconds, expression evaluations and

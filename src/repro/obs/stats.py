@@ -5,8 +5,8 @@ Reads one or more ``--trace`` NDJSON files (see
 them line by line, and aggregates:
 
 * per-stage time split — ``generate`` vs ``parse``/``elaborate``/
-  ``sim``/``testbench``/``store`` (the signal for the sim-compile
-  roadmap item);
+  ``analysis``/``bench_elab``/``engine``/``sim``/``store`` (the signal
+  for the sim-compile roadmap item);
 * job latency — exact nearest-rank p50/p95/p99 over ``job`` spans;
 * per-worker throughput — jobs per second of per-worker wall clock
   (monotonic span timestamps are only compared within one file, so

@@ -41,6 +41,9 @@ class PromptLevel(enum.Enum):
 
 PASS_MARKER = "ALL TESTS PASSED"
 
+#: what :meth:`Problem.bench_source` puts between the design and its bench
+_BENCH_JOIN = "\n"
+
 
 @dataclass(frozen=True)
 class WrongVariant:
@@ -78,7 +81,13 @@ class Problem:
 
     def bench_source(self, completion: str, level: PromptLevel = PromptLevel.LOW) -> str:
         """Module-under-test plus its test bench, ready to simulate."""
-        return self.full_source(completion, level) + "\n" + self.testbench
+        return self.full_source(completion, level) + _BENCH_JOIN + self.testbench
+
+    @staticmethod
+    def testbench_line(design_source: str) -> int:
+        """Line of the bench source on which the test bench starts, when
+        ``design_source`` is the :meth:`full_source` it is built from."""
+        return (design_source + _BENCH_JOIN).count("\n") + 1
 
     def __str__(self) -> str:
         return f"Problem {self.number}: {self.title} ({self.difficulty})"

@@ -10,6 +10,18 @@ Quick example::
 
     report, result = run_simulation(source_with_testbench, top="tb")
     assert report.ok and "PASS" in result.text
+
+A caller that has already compiled the design passes that report
+instead of re-parsing it, and the test bench text is parsed once per
+process.  ``first_line`` is the line the test bench starts on in the
+concatenated text (here ``design_source + "\\n" + testbench``, with
+``design_source`` ending in a newline), so reported lines match it::
+
+    design = compile_design(design_source)
+    report, result = run_simulation(
+        testbench, top="tb", design=design,
+        first_line=design_source.count("\\n") + 2,
+    )
 """
 
 from .analyze import (

@@ -67,12 +67,16 @@ _BASE_DIGITS = {
 
 
 class Lexer:
-    """Single-pass tokenizer; call :meth:`tokenize` once."""
+    """Single-pass tokenizer; call :meth:`tokenize` once.
 
-    def __init__(self, source: str):
+    ``first_line`` numbers the source's first line, so text that sits
+    further down a larger file reports that file's line numbers.
+    """
+
+    def __init__(self, source: str, first_line: int = 1):
         self.source = source
         self.pos = 0
-        self.line = 1
+        self.line = first_line
         self.column = 1
         self.tokens: list[Token] = []
 
@@ -258,6 +262,6 @@ class Lexer:
         )
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str, first_line: int = 1) -> list[Token]:
     """Tokenize Verilog source, raising :class:`LexError` on bad input."""
-    return Lexer(source).tokenize()
+    return Lexer(source, first_line).tokenize()

@@ -857,6 +857,9 @@ class Parser:
         raise self._error(f"unexpected token {token.text!r} in expression")
 
 
-def parse(source: str) -> ast.SourceUnit:
-    """Parse Verilog source text into an AST (lex + parse)."""
-    return Parser(tokenize(source)).parse()
+def parse(source: str, first_line: int = 1) -> ast.SourceUnit:
+    """Parse Verilog source text into an AST (lex + parse).
+
+    ``first_line`` is the line number of the source's first line.
+    """
+    return Parser(tokenize(source, first_line)).parse()

@@ -5,6 +5,9 @@ known-value registers; each expression is evaluated twice — by the event-
 driven simulator through a generated module, and by a Python big-int
 oracle implementing the LRM width/sign rules directly.  Any divergence is
 a real bug in lexer, parser, width resolution, or 4-state arithmetic.
+
+Every example runs on both engines, the interpreter and the compiled
+engine the evaluator uses by default, and each must match the oracle.
 """
 
 from __future__ import annotations
@@ -150,7 +153,22 @@ def expressions(draw, variables: dict[str, int], depth: int = 0):
     )
 
 
-def _simulate_expression(text: str, variables: dict[str, int], out_width: int) -> int:
+def _outputs(source: str) -> list[list[str]]:
+    """Output lines of ``source`` on each engine: interpreter, compiled."""
+    outputs = []
+    for compile_sim in (False, True):
+        report, result = run_simulation(
+            source, top="tb", compile_sim=compile_sim
+        )
+        assert report.ok, (compile_sim, report.errors, source)
+        assert result is not None and result.finished, (compile_sim, source)
+        outputs.append(result.output)
+    return outputs
+
+
+def _simulate_expression(
+    text: str, variables: dict[str, int], out_width: int
+) -> list[int]:
     decls = "\n".join(
         f"  reg [{WIDTH - 1}:0] {name} = {WIDTH}'d{value};"
         for name, value in variables.items()
@@ -166,10 +184,7 @@ def _simulate_expression(text: str, variables: dict[str, int], out_width: int) -
         "  end\n"
         "endmodule\n"
     )
-    report, result = run_simulation(source, top="tb")
-    assert report.ok, (report.errors, source)
-    assert result is not None and result.finished
-    return int(result.output[0])
+    return [int(output[0]) for output in _outputs(source)]
 
 
 _VARS = {"va": 0xA5, "vb": 0x3C, "vc": 0x01, "vd": 0xFF}
@@ -179,8 +194,8 @@ _VARS = {"va": 0xA5, "vb": 0x3C, "vc": 0x01, "vd": 0xFF}
 @given(expr=expressions(_VARS))
 def test_prop_expression_matches_oracle(expr):
     mask = (1 << expr.width) - 1
-    measured = _simulate_expression(expr.text, _VARS, expr.width)
-    assert measured == expr.value & mask, expr.text
+    for measured in _simulate_expression(expr.text, _VARS, expr.width):
+        assert measured == expr.value & mask, expr.text
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,9 +222,8 @@ def test_prop_sum_reduction_matches_oracle(values, expr_seed):
         '    $display("%0d", total);\n'
         "    $finish;\n  end\nendmodule\n"
     )
-    report, result = run_simulation(source, top="tb")
-    assert report.ok and result is not None
-    assert int(result.output[0]) == sum(values)
+    for output in _outputs(source):
+        assert int(output[0]) == sum(values)
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,9 +241,8 @@ def test_prop_signed_arith_shift_matches_python(value, amount):
         '    $display("%0d", v);\n'
         "    $finish;\n  end\nendmodule\n"
     )
-    report, result = run_simulation(source, top="tb")
-    assert report.ok and result is not None
-    assert int(result.output[0]) == value >> amount  # Python >> floors
+    for output in _outputs(source):
+        assert int(output[0]) == value >> amount  # Python >> floors
 
 
 @settings(max_examples=30, deadline=None)
@@ -247,11 +260,10 @@ def test_prop_division_and_modulo_match_oracle(a, b):
         '    $display("%0d %0d", q, r);\n'
         "    $finish;\n  end\nendmodule\n"
     )
-    report, result = run_simulation(source, top="tb")
-    assert report.ok and result is not None
-    q_text, r_text = result.output[0].split()
-    assert int(q_text) == a // b
-    assert int(r_text) == a % b
+    for output in _outputs(source):
+        q_text, r_text = output[0].split()
+        assert int(q_text) == a // b
+        assert int(r_text) == a % b
 
 
 @settings(max_examples=30, deadline=None)
@@ -267,12 +279,11 @@ def test_prop_reductions_match_oracle(bits):
         '    $display("%b%b%b", r_and, r_or, r_xor);\n'
         "    $finish;\n  end\nendmodule\n"
     )
-    report, result = run_simulation(source, top="tb")
-    assert report.ok and result is not None
     expected = (
         f"{int(bits == MASK)}{int(bits != 0)}{bin(bits).count('1') % 2}"
     )
-    assert result.output[0] == expected
+    for output in _outputs(source):
+        assert output[0] == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -294,7 +305,6 @@ def test_prop_part_select_matches_oracle(value, hi, lo):
         '    $display("%0d", part);\n'
         "    $finish;\n  end\nendmodule\n"
     )
-    report, result = run_simulation(source, top="tb")
-    assert report.ok and result is not None
     expected = (value >> lo) & ((1 << (hi - lo + 1)) - 1)
-    assert int(result.output[0]) == expected
+    for output in _outputs(source):
+        assert int(output[0]) == expected

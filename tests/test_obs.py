@@ -310,6 +310,31 @@ class TestStageTimers:
         store_row = next(row for row in rows if row and row[0] == "store")
         assert int(store_row[1]) >= 2
 
+    def test_compiled_bench_times_engine_and_elaboration(
+        self, capsys, tmp_path
+    ):
+        trace = tmp_path / "sweep.trace"
+        assert main([
+            "sweep", "--backend", "stub-canonical", "--problems", "1",
+            "--temperatures", "0.1", "--n", "2", "--levels", "L",
+            "--compile-sim", "--trace", str(trace),
+        ]) == 0
+        for stage in ("bench_elab", "engine"):
+            assert REGISTRY.histogram_snapshot(
+                "stage_seconds", stage=stage, problem=1
+            )["count"] >= 1, stage
+        capsys.readouterr()
+        assert main(["stats", str(trace)]) == 0
+        rows = {
+            row[0]: row for row in (
+                line.split()
+                for line in capsys.readouterr().out.splitlines()
+            ) if row
+        }
+        for stage in ("bench_elab", "engine"):
+            assert int(rows[stage][1]) >= 1, stage
+        assert "testbench" not in rows
+
     def test_observe_stage_spans_only_when_tracing(self):
         seen = []
         observe_stage("parse", 0.01, problem=1)
